@@ -81,11 +81,15 @@ let bechamel_passes () =
         tbl)
     results
 
+(* The two compilation flows every profile and snapshot covers: the
+   start-up heuristic alone, and the paper's full post-tiling-fusion
+   flow. *)
+let snapshot_flows = [ Flow.Heuristic Fusion.Smartfuse; Flow.Ours ]
+
 (* Per-workload/flow counter breakdown through the lib/obs
    instrumentation: compile every registered workload (reduced size)
-   with the start-up heuristic flow and the paper's full flow, and
-   print the dominant pass counters so a regression in pass cost shows
-   up as a diff between benchmark runs. *)
+   with the snapshot flows, and print the dominant pass counters so a
+   regression in pass cost shows up as a diff between benchmark runs. *)
 let profile () =
   let counters =
     [ ("fm.elim", "fm.eliminate");
@@ -103,19 +107,19 @@ let profile () =
   let rows = ref [] in
   List.iter
     (fun (e : Registry.entry) ->
-      let run_flow flow_name compile =
+      let run_flow flow =
         Obs.reset ();
         Presburger.Fm_cache.reset ();
         Obs.enable ();
         let p = e.Registry.small () in
         let t0 = Unix.gettimeofday () in
-        (try compile p
+        (try ignore (Flow.compile ~target:Core.Pipeline.Cpu flow p)
          with exn ->
            Printf.eprintf "profile: %s/%s failed: %s\n" e.Registry.reg_name
-             flow_name (Printexc.to_string exn));
+             (Flow.name flow) (Printexc.to_string exn));
         let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
         let row =
-          [ e.Registry.reg_name; flow_name; Printf.sprintf "%.1f" ms ]
+          [ e.Registry.reg_name; Flow.name flow; Printf.sprintf "%.1f" ms ]
           @ List.map
               (fun (_, c) -> string_of_int (Obs.counter_value c))
               counters
@@ -123,12 +127,7 @@ let profile () =
         Obs.disable ();
         rows := row :: !rows
       in
-      run_flow "smartfuse" (fun p ->
-          ignore
-            (Core.Pipeline.run_heuristic ~target:Core.Pipeline.Cpu
-               Fusion.Smartfuse p));
-      run_flow "ours" (fun p ->
-          ignore (Core.Pipeline.run ~target:Core.Pipeline.Cpu p)))
+      List.iter run_flow snapshot_flows)
     Registry.all;
   Exp_util.section "Pass profile: counters per workload/flow (small sizes)";
   Exp_util.print_table ~header (List.rev !rows)
@@ -141,33 +140,25 @@ let usage_error msg =
   Printf.eprintf "bench: %s\n" msg;
   exit 2
 
-(* The two compilation flows every snapshot covers: the start-up
-   heuristic alone, and the paper's full post-tiling-fusion flow. *)
-let snapshot_flows =
-  [ ( "smartfuse",
-      fun p ->
-        Exp_util.heuristic ~target:Core.Pipeline.Cpu Fusion.Smartfuse p );
-    ("ours", fun p -> Exp_util.ours ~target:Core.Pipeline.Cpu p)
-  ]
+let int_arg name v =
+  match int_of_string_opt v with
+  | Some i when i > 0 -> i
+  | _ -> usage_error (Printf.sprintf "%s expects a positive integer, got %S" name v)
 
 (* Compile one workload with one flow under full instrumentation and
    freeze the result. The cache/interp counters come from the trace-
    driven CPU profile, the traffic volumes from the polyhedral
    footprint model, so a snapshot captures compile-side and machine-
    side behaviour at once. *)
-let deps_of_version p (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute p
-
-let collect_one ~small (e : Registry.entry) (flow_name, compile) =
+let collect_one ?tile ~small (e : Registry.entry) flow =
+  let flow_name = Flow.name flow in
   Obs.reset ();
   Presburger.Fm_cache.reset ();
   Obs.enable ();
   let finish () = Obs.disable () in
   match
     let p = if small then e.Registry.small () else e.Registry.build () in
-    let v = compile p in
+    let v = Flow.compile ?tile ~target:Core.Pipeline.Cpu flow p in
     let report = Exp_util.cpu_profile p v in
     let clusters = Exp_util.clusters p v in
     let traffic = Footprints.program_traffic p clusters in
@@ -181,7 +172,7 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
        the runtime.* counters land in the counters map and the
        wall-clock ratio becomes the snapshot's (noisy, non-gating)
        speedup field *)
-    let deps = deps_of_version p v in
+    let deps = Exp_util.deps_of p v in
     let seq =
       Runtime.run ~jobs:1 ~mode:Executor.Seq p ~deps v.Exp_util.ast
     in
@@ -468,11 +459,6 @@ let parallel_cmd args =
   let warmup = ref 1 in
   let out = ref None in
   let label = ref None in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i when i > 0 -> i
-    | _ -> usage_error (Printf.sprintf "%s expects a positive integer, got %S" name v)
-  in
   let rec parse = function
     | [] -> ()
     | "--small" :: rest ->
@@ -533,7 +519,7 @@ let parallel_cmd args =
     (fun (e : Registry.entry) ->
       let p = if !small then e.Registry.small () else e.Registry.build () in
       let v = Exp_util.ours ~tile:!tile ~target:Core.Pipeline.Cpu p in
-      let deps = deps_of_version p v in
+      let deps = Exp_util.deps_of p v in
       let measure j =
         for _ = 1 to !warmup do
           ignore (Runtime.run ~jobs:j p ~deps v.Exp_util.ast)
@@ -585,15 +571,12 @@ let parallel_cmd args =
         | Some l -> l
         | None -> Filename.remove_extension (Filename.basename file)
       in
-      let flow =
-        ("ours", fun p -> Exp_util.ours ~tile:!tile ~target:Core.Pipeline.Cpu p)
-      in
       let snaps =
         List.filter_map
           (fun (e, sp) ->
             Option.map
               (fun s -> { s with Snapshot.speedup = Some sp })
-              (collect_one ~small:!small e flow))
+              (collect_one ~tile:!tile ~small:!small e Flow.Ours))
           (List.rev !measured)
       in
       Bench_db.save file (Bench_db.make ~label snaps);
@@ -617,11 +600,6 @@ let tune_cmd args =
   let jobs_flag = ref None in
   let seed_flag = ref None in
   let db = ref None in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i when i > 0 -> i
-    | _ -> usage_error (Printf.sprintf "%s expects a positive integer, got %S" name v)
-  in
   let rec parse = function
     | [] -> ()
     | "--small" :: rest ->
@@ -708,6 +686,58 @@ let tune_cmd args =
   if !failures <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
+(* Daemon clients (serve, soak): shared flags, readiness, failures     *)
+(* ------------------------------------------------------------------ *)
+
+type client = {
+  cl_cmd : string;  (* subcommand name, prefixes every message *)
+  mutable port : int;
+  mutable requests : int;
+  mutable failures : string list;  (* newest first *)
+}
+
+let make_client cmd ~requests = { cl_cmd = cmd; port = 8080; requests; failures = [] }
+
+(* The arguments a command's own parser did not match: consume a
+   --port/--requests flag and continue with [parse], else reject. *)
+let client_args c parse = function
+  | "--port" :: n :: rest ->
+      c.port <- int_arg "--port" n;
+      parse rest
+  | "--requests" :: n :: rest ->
+      c.requests <- int_arg "--requests" n;
+      parse rest
+  | a :: _ -> usage_error (Printf.sprintf "%s: unknown argument %s" c.cl_cmd a)
+  | [] -> ()
+
+let fail c fmt = Printf.ksprintf (fun m -> c.failures <- m :: c.failures) fmt
+
+(* The daemon may still be binding its socket: poll /healthz for up to
+   ten seconds, and give up with exit 1. *)
+let wait_ready c =
+  let rec go tries =
+    if tries = 0 then begin
+      Printf.eprintf "%s: daemon on port %d not ready, giving up\n%!" c.cl_cmd
+        c.port;
+      exit 1
+    end
+    else
+      match Httpd.request ~port:c.port "/healthz" with
+      | Ok (200, _) -> ()
+      | _ ->
+          Unix.sleepf 0.25;
+          go (tries - 1)
+  in
+  go 40
+
+let exit_on_failures c =
+  if c.failures <> [] then begin
+    Printf.eprintf "%s: %d check(s) failed:\n" c.cl_cmd (List.length c.failures);
+    List.iter (fun m -> Printf.eprintf "  - %s\n" m) (List.rev c.failures);
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* serve: load generator + end-to-end checker for the compile daemon   *)
 (* ------------------------------------------------------------------ *)
 
@@ -724,26 +754,14 @@ let tune_cmd args =
        memcomp_pipeline_runs_total advanced by at least --requests
    Prints p50/p95/p99 compile latency; exits 1 on any failure. *)
 let serve_cmd args =
-  let port = ref 8080 in
-  let requests = ref 50 in
+  let c = make_client "serve" ~requests:50 in
   let concurrency = ref 4 in
   let workload = ref "conv2d" in
-  let flow = ref "ours" in
+  let flow = ref (Flow.name Flow.Ours) in
   let tile = ref 32 in
   let metrics_out = ref None in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i when i > 0 -> i
-    | _ -> usage_error (Printf.sprintf "%s expects a positive integer, got %S" name v)
-  in
   let rec parse = function
     | [] -> ()
-    | "--port" :: n :: rest ->
-        port := int_arg "--port" n;
-        parse rest
-    | "--requests" :: n :: rest ->
-        requests := int_arg "--requests" n;
-        parse rest
     | "--concurrency" :: n :: rest ->
         concurrency := int_arg "--concurrency" n;
         parse rest
@@ -759,32 +777,19 @@ let serve_cmd args =
     | "--metrics-out" :: f :: rest ->
         metrics_out := Some f;
         parse rest
-    | a :: _ -> usage_error (Printf.sprintf "serve: unknown argument %s" a)
+    | args -> client_args c parse args
   in
   parse args;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let fail fmt = fail c fmt in
   let get path =
-    match Httpd.request ~port:!port path with
+    match Httpd.request ~port:c.port path with
     | Ok (status, body) -> (status, body)
     | Error msg ->
         fail "GET %s: %s" path msg;
         (0, "")
   in
-  (* 1. readiness: the daemon may still be binding its socket *)
-  let rec wait_ready tries =
-    if tries = 0 then begin
-      Printf.eprintf "serve: daemon on port %d not ready, giving up\n%!" !port;
-      exit 1
-    end
-    else
-      match Httpd.request ~port:!port "/healthz" with
-      | Ok (200, _) -> ()
-      | _ ->
-          Unix.sleepf 0.25;
-          wait_ready (tries - 1)
-  in
-  wait_ready 40;
+  (* 1. readiness *)
+  wait_ready c;
   (* 2. first scrape *)
   let s1_status, scrape1 = get "/metrics" in
   if s1_status <> 200 then fail "first /metrics scrape: status %d" s1_status;
@@ -804,10 +809,10 @@ let serve_cmd args =
   let client () =
     let rec go acc =
       let i = Atomic.fetch_and_add next 1 in
-      if i >= !requests then acc
+      if i >= c.requests then acc
       else begin
         let t0 = Unix.gettimeofday () in
-        let outcome = Httpd.request ~meth:"POST" ~body ~port:!port "/compile" in
+        let outcome = Httpd.request ~meth:"POST" ~body ~port:c.port "/compile" in
         let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
         go ((outcome, ms) :: acc)
       end
@@ -887,8 +892,8 @@ let serve_cmd args =
     counters1;
   let runs_of cs = match List.assoc_opt "memcomp_pipeline_runs" cs with Some v -> v | None -> 0 in
   let d_runs = runs_of counters2 - runs_of counters1 in
-  if !flow <> "naive" && d_runs < !requests then
-    fail "memcomp_pipeline_runs_total advanced by %d, expected >= %d" d_runs !requests;
+  if Flow.of_string !flow <> Some Flow.Naive && d_runs < c.requests then
+    fail "memcomp_pipeline_runs_total advanced by %d, expected >= %d" d_runs c.requests;
   (match !metrics_out with
   | Some file ->
       let oc = open_out file in
@@ -900,19 +905,15 @@ let serve_cmd args =
   let pct p = match Digest.quantile dg p with Some v -> v | None -> 0.0 in
   Printf.printf
     "serve: %d requests (%s/%s, tile %d) at concurrency %d against port %d\n"
-    !requests !workload !flow !tile !concurrency !port;
+    c.requests !workload !flow !tile !concurrency c.port;
   Printf.printf "  completed   %d ok, %d failed\n" (List.length !latencies)
-    (!requests - List.length !latencies);
+    (c.requests - List.length !latencies);
   if Digest.count dg > 0 then
     Printf.printf "  latency ms  p50 %.1f   p95 %.1f   p99 %.1f   max %.1f\n"
       (pct 0.5) (pct 0.95) (pct 0.99)
       (match Digest.maximum dg with Some v -> v | None -> 0.0);
   Printf.printf "  pipeline    runs +%d across load\n" d_runs;
-  if !failures <> [] then begin
-    Printf.eprintf "serve: %d check(s) failed:\n" (List.length !failures);
-    List.iter (fun m -> Printf.eprintf "  - %s\n" m) (List.rev !failures);
-    exit 1
-  end;
+  exit_on_failures c;
   Printf.printf "  checks      all passed (traces resolve, counters exact & monotone)\n"
 
 (* ------------------------------------------------------------------ *)
@@ -925,23 +926,11 @@ let serve_cmd args =
 (* ------------------------------------------------------------------ *)
 
 let soak_cmd args =
-  let port = ref 8080 in
-  let requests = ref 40 in
+  let c = make_client "soak" ~requests:40 in
   let timeout = ref 30.0 in
   let expect_compacted = ref false in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i when i > 0 -> i
-    | _ -> usage_error (Printf.sprintf "%s expects a positive integer, got %S" name v)
-  in
   let rec parse = function
     | [] -> ()
-    | "--port" :: n :: rest ->
-        port := int_arg "--port" n;
-        parse rest
-    | "--requests" :: n :: rest ->
-        requests := int_arg "--requests" n;
-        parse rest
     | "--timeout" :: s :: rest ->
         (match float_of_string_opt s with
         | Some f when f > 0. -> timeout := f
@@ -949,30 +938,17 @@ let soak_cmd args =
         parse rest
     | "--small" :: rest ->
         (* lighter load for CI: fewer normal-phase requests *)
-        requests := min !requests 20;
+        c.requests <- min c.requests 20;
         parse rest
     | "--expect-compacted" :: rest ->
         expect_compacted := true;
         parse rest
-    | a :: _ -> usage_error (Printf.sprintf "soak: unknown argument %s" a)
+    | args -> client_args c parse args
   in
   parse args;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let get path = Httpd.request ~port:!port path in
-  let rec wait_ready tries =
-    if tries = 0 then begin
-      Printf.eprintf "soak: daemon on port %d not ready, giving up\n%!" !port;
-      exit 1
-    end
-    else
-      match get "/healthz" with
-      | Ok (200, _) -> ()
-      | _ ->
-          Unix.sleepf 0.25;
-          wait_ready (tries - 1)
-  in
-  wait_ready 40;
+  let fail fmt = fail c fmt in
+  let get path = Httpd.request ~port:c.port path in
+  wait_ready c;
   let compile_posts = ref 0 in
   let post_compile workload =
     incr compile_posts;
@@ -981,12 +957,12 @@ let soak_cmd args =
         workload
     in
     let t0 = Unix.gettimeofday () in
-    let r = Httpd.request ~meth:"POST" ~body ~port:!port "/compile" in
+    let r = Httpd.request ~meth:"POST" ~body ~port:c.port "/compile" in
     ((Unix.gettimeofday () -. t0) *. 1e3, r)
   in
   (* 1. normal phase: paced good traffic *)
   let latencies = ref [] in
-  for _ = 1 to !requests do
+  for _ = 1 to c.requests do
     (match post_compile "conv2d" with
     | ms, Ok (200, _) -> latencies := ms :: !latencies
     | _, Ok (status, body) ->
@@ -1148,19 +1124,15 @@ let soak_cmd args =
   (* report *)
   let dg = Digest.of_list !latencies in
   let pct p = match Digest.quantile dg p with Some v -> v | None -> 0.0 in
-  Printf.printf "soak: %d normal + burst/recovery against port %d\n" !requests
-    !port;
+  Printf.printf "soak: %d normal + burst/recovery against port %d\n" c.requests
+    c.port;
   Printf.printf "  watchdog    fired after %.2fs of burst, cleared %.2fs into \
                  recovery\n"
     t_fire t_clear;
   if Digest.count dg > 0 then
     Printf.printf "  latency ms  p50 %.1f   p95 %.1f   p99 %.1f\n" (pct 0.5)
       (pct 0.95) (pct 0.99);
-  if !failures <> [] then begin
-    Printf.eprintf "soak: %d check(s) failed:\n" (List.length !failures);
-    List.iter (fun m -> Printf.eprintf "  - %s\n" m) (List.rev !failures);
-    exit 1
-  end;
+  exit_on_failures c;
   Printf.printf
     "  checks      all passed (fire/clear, history conserved, sketch ordered)\n"
 

@@ -12,38 +12,18 @@ let prog_of name small =
   let e = Registry.find name in
   if small then e.Registry.small () else e.Registry.build ()
 
-type flow = F_naive | F_heuristic of Fusion.heuristic | F_ours | F_polymage | F_halide
-
 let flow_conv =
-  let parse = function
-    | "naive" -> Ok F_naive
-    | "minfuse" -> Ok (F_heuristic Fusion.Minfuse)
-    | "smartfuse" -> Ok (F_heuristic Fusion.Smartfuse)
-    | "maxfuse" -> Ok (F_heuristic Fusion.Maxfuse)
-    | "hybridfuse" -> Ok (F_heuristic Fusion.Hybridfuse)
-    | "ours" -> Ok F_ours
-    | "polymage" -> Ok F_polymage
-    | "halide" -> Ok F_halide
-    | s -> Error (`Msg (Printf.sprintf "unknown flow %s" s))
+  let parse s =
+    match Flow.of_string s with
+    | Some f -> Ok f
+    | None -> Error (`Msg (Printf.sprintf "unknown flow %s" s))
   in
-  let print fmt f =
-    Format.pp_print_string fmt
-      (match f with
-      | F_naive -> "naive"
-      | F_heuristic h -> Fusion.heuristic_name h
-      | F_ours -> "ours"
-      | F_polymage -> "polymage"
-      | F_halide -> "halide")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt f -> Format.pp_print_string fmt (Flow.name f))
+
+let flow_names = String.concat " | " (List.map Flow.name Flow.all)
 
 let version_of flow ~tile prog =
-  match flow with
-  | F_naive -> Exp_util.naive prog
-  | F_heuristic h -> Exp_util.heuristic ~tile ~target:Core.Pipeline.Cpu h prog
-  | F_ours -> Exp_util.ours ~tile ~target:Core.Pipeline.Cpu prog
-  | F_polymage -> Exp_util.polymage_version ~tile ~target:Core.Pipeline.Cpu prog
-  | F_halide -> Exp_util.halide_version ~tile ~target:Core.Pipeline.Cpu prog
+  Flow.compile ~tile ~target:Core.Pipeline.Cpu flow prog
 
 (* --stats / --trace FILE observability flags (plus the MEMCOMP_TRACE
    env fallback). Instrumentation is off unless one of them is given,
@@ -105,9 +85,8 @@ let small_arg =
 let flow_arg =
   Arg.(
     value
-    & opt flow_conv F_ours
-    & info [ "f"; "flow" ] ~docv:"FLOW"
-        ~doc:"naive | minfuse | smartfuse | maxfuse | hybridfuse | ours | polymage | halide.")
+    & opt flow_conv Flow.Ours
+    & info [ "f"; "flow" ] ~docv:"FLOW" ~doc:(flow_names ^ "."))
 
 (* Shared worker-count knob: --jobs N, with the MEMCOMP_JOBS
    environment variable as fallback, defaulting to 1. *)
@@ -125,13 +104,8 @@ let resolve_jobs = Cli_util.resolve_jobs
 let exit_race = 3
 (* distinct exit code when the tile race checker fires *)
 
-let deps_of prog (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute prog
-
 let run_parallel_report prog (v : Exp_util.version) ~jobs ~race_check =
-  let deps = deps_of prog v in
+  let deps = Exp_util.deps_of prog v in
   let r = Runtime.run ~jobs ~race_check prog ~deps v.Exp_util.ast in
   let oracle = Cpu_model.run_to_memory prog v.Exp_util.ast in
   let ok =
@@ -260,12 +234,6 @@ let compare_cmd =
     let finish = obs_begin ~stats ~trace () in
     let prog = prog_of workload small in
     let reference = Exp_util.naive prog in
-    let flows =
-      [ F_naive; F_heuristic Fusion.Minfuse; F_heuristic Fusion.Smartfuse;
-        F_heuristic Fusion.Maxfuse; F_heuristic Fusion.Hybridfuse; F_polymage;
-        F_halide; F_ours
-      ]
-    in
     let mismatches = ref [] in
     let rows =
       List.map
@@ -279,7 +247,7 @@ let compare_cmd =
             Printf.sprintf "%.2f" v.Exp_util.compile_s;
             (if ok then "ok" else "MISMATCH")
           ])
-        flows
+        Flow.all
     in
     Exp_util.print_table
       ~header:[ "flow"; "1t (ms)"; "32t (ms)"; "compile (s)"; "semantics" ]
@@ -354,8 +322,8 @@ let verify_cmd =
       & opt (some flow_conv) None
       & info [ "f"; "flow" ] ~docv:"FLOW"
           ~doc:
-            "Verify a single flow (naive | minfuse | smartfuse | maxfuse | \
-             hybridfuse | ours | polymage | halide); default: all of them.")
+            (Printf.sprintf "Verify a single flow (%s); default: all of them."
+               flow_names))
   in
   let static_only =
     Arg.(
@@ -366,15 +334,7 @@ let verify_cmd =
   let run workload tile small flow static_only stats trace =
     let finish = obs_begin ~stats ~trace () in
     let prog = prog_of workload small in
-    let flows =
-      match flow with
-      | Some f -> [ f ]
-      | None ->
-          [ F_naive; F_heuristic Fusion.Minfuse; F_heuristic Fusion.Smartfuse;
-            F_heuristic Fusion.Maxfuse; F_heuristic Fusion.Hybridfuse; F_ours;
-            F_polymage; F_halide
-          ]
-    in
+    let flows = match flow with Some f -> [ f ] | None -> Flow.all in
     let reference = lazy (Exp_util.naive prog) in
     let failed = ref false in
     List.iter

@@ -77,19 +77,19 @@ let startup_ablation () =
     List.concat_map
       (fun (name, p) ->
         List.map
-          (fun (label, startup) ->
+          (fun startup ->
             let v = ours ~tile:16 ~startup ~target:Core.Pipeline.Cpu p in
             let c =
               match v.flavor with Ours c -> c | _ -> assert false
             in
             [ name;
-              label;
+              Fusion.heuristic_name startup;
               string_of_int (List.length c.Core.Pipeline.spaces);
               string_of_int
                 (List.length c.Core.Pipeline.plan.Core.Post_tiling.skipped);
               Printf.sprintf "%.3f" (cpu_time_ms p v ~threads:32)
             ])
-          [ ("minfuse", Fusion.Minfuse); ("smartfuse", Fusion.Smartfuse) ])
+          [ Fusion.Minfuse; Fusion.Smartfuse ])
       [ ("harris", Polymage.harris ~h:64 ~w:64 ());
         ("unsharp_mask", Polymage.unsharp_mask ~h:64 ~w:64 ())
       ]

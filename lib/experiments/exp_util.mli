@@ -42,6 +42,10 @@ val tree_of : Prog.t -> version -> Schedule_tree.t
 (** The schedule tree the version's AST was generated from (recomputed
     for the naive flow, whose constructor discards it). *)
 
+val deps_of : Prog.t -> version -> Deps.t list
+(** The program's dependences: those a post-tiling flow already
+    computed, recomputed for the naive and heuristic flows. *)
+
 val check_against : Prog.t -> version -> version -> bool
 (** Semantic equivalence of live-out arrays (interpreter oracle). *)
 

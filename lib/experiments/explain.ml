@@ -14,11 +14,6 @@ type t = {
   ex_wall_s : float;
 }
 
-let deps_of prog (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute prog
-
 let collect ?(tile = 32) ?(jobs = 1) ~workload ~make prog =
   Obs.reset ();
   Events.reset ();
@@ -42,7 +37,7 @@ let collect ?(tile = 32) ?(jobs = 1) ~workload ~make prog =
           Some (Footprints.program_traffic prog cs) )
   in
   (* runtime timelines (also emits runtime.tile events) *)
-  let deps = deps_of prog v in
+  let deps = Exp_util.deps_of prog v in
   let r = Runtime.run ~jobs prog ~deps v.Exp_util.ast in
   { ex_workload = workload;
     ex_flow = v.Exp_util.ver_name;

@@ -205,16 +205,16 @@ let table2 () =
       Printf.printf "\n%s:\n" name;
       let nv = naive p in
       let versions =
-        [ ("sequential", nv, Some false);
-          ("icc", nv, Some true);
-          ("minfuse", heuristic ~target:Core.Pipeline.Cpu Fusion.Minfuse p, None);
-          ("smartfuse", heuristic ~target:Core.Pipeline.Cpu Fusion.Smartfuse p, None);
-          ("maxfuse", heuristic ~target:Core.Pipeline.Cpu Fusion.Maxfuse p, None);
-          ( "hybridfuse",
-            heuristic ~target:Core.Pipeline.Cpu Fusion.Hybridfuse p,
-            Some true );
-          ("ours", ours ~target:Core.Pipeline.Cpu p, None)
-        ]
+        [ ("sequential", nv, Some false); ("icc", nv, Some true) ]
+        @ List.map
+            (fun f ->
+              ( Flow.name f,
+                Flow.compile ~target:Core.Pipeline.Cpu f p,
+                if f = Flow.Heuristic Fusion.Hybridfuse then Some true else None ))
+            Flow.
+              [ Heuristic Fusion.Minfuse; Heuristic Fusion.Smartfuse;
+                Heuristic Fusion.Maxfuse; Heuristic Fusion.Hybridfuse; Ours
+              ]
       in
       let rows =
         List.map
@@ -322,15 +322,10 @@ let verify () =
       let nv = naive p in
       let all_ok =
         List.for_all
-          (fun v -> check_against p nv v)
-          [ heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Minfuse p;
-            heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Smartfuse p;
-            heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Maxfuse p;
-            heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Hybridfuse p;
-            ours ~tile:8 ~target:Core.Pipeline.Cpu p;
-            polymage_version ~tile:8 ~target:Core.Pipeline.Cpu p;
-            halide_version ~tile:8 ~target:Core.Pipeline.Cpu p
-          ]
+          (fun f ->
+            f = Flow.Naive
+            || check_against p nv (Flow.compile ~tile:8 ~target:Core.Pipeline.Cpu f p))
+          Flow.all
       in
       Printf.printf "  %-20s %s\n%!" e.Registry.reg_name
         (if all_ok then "ok" else "MISMATCH"))

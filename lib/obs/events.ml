@@ -122,254 +122,6 @@ let dropped () = !total - !len
 let value_to_string = Json_util.value_to_string
 
 (* ------------------------------------------------------------------ *)
-(* JSONL                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let float_repr = Json_util.float_repr
-
-let value_json = Json_util.value_json
-
-let event_json b (e : t) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"seq\":%d,\"ts\":%s,\"dur\":%s,\"cat\":\"%s\",\"name\":\"%s\",\"args\":{"
-       e.seq (float_repr e.ts_s) (float_repr e.dur_s) (Json_util.escape e.cat)
-       (Json_util.escape e.name));
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Json_util.escape k) (value_json v)))
-    e.args;
-  Buffer.add_string b "}}"
-
-let to_jsonl () =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      event_json b e;
-      Buffer.add_char b '\n')
-    (recorded ());
-  Buffer.contents b
-
-let write_jsonl path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl ()))
-
-(* --- parsing --------------------------------------------------------- *)
-
-(* Minimal JSON parser that keeps the raw token for numbers, so int and
-   float payload values stay distinct ("5" vs "5.0"). *)
-type jv = Jstr of string | Jnum of string | Jbool of bool | Jnull | Jobj of (string * jv) list | Jarr of jv list
-
-exception Parse_error of string
-
-let parse_json_line (s : string) : jv =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\r') ->
-        incr pos;
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> incr pos
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> incr pos
-      | Some '\\' ->
-          incr pos;
-          (match peek () with
-          | Some '"' -> Buffer.add_char b '"'; incr pos
-          | Some '\\' -> Buffer.add_char b '\\'; incr pos
-          | Some '/' -> Buffer.add_char b '/'; incr pos
-          | Some 'n' -> Buffer.add_char b '\n'; incr pos
-          | Some 'r' -> Buffer.add_char b '\r'; incr pos
-          | Some 't' -> Buffer.add_char b '\t'; incr pos
-          | Some 'b' -> Buffer.add_char b '\b'; incr pos
-          | Some 'f' -> Buffer.add_char b '\012'; incr pos
-          | Some 'u' ->
-              incr pos;
-              if !pos + 4 > n then fail "bad \\u escape";
-              let hex = String.sub s !pos 4 in
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-              | Some _ -> Buffer.add_char b '?'
-              | None -> fail "bad \\u escape");
-              pos := !pos + 4
-          | _ -> fail "bad escape");
-          go ()
-      | Some c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ((k, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                Jobj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Jarr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elems (v :: acc)
-            | Some ']' ->
-                incr pos;
-                Jarr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elems []
-        end
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Jbool true
-        end
-        else fail "bad literal"
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Jbool false
-        end
-        else fail "bad literal"
-    | Some 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
-          pos := !pos + 4;
-          Jnull
-        end
-        else fail "bad literal"
-    | Some ('0' .. '9' | '-') ->
-        let first = !pos in
-        let num_char = function
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        in
-        while (match peek () with Some c -> num_char c | None -> false) do
-          incr pos
-        done;
-        let text = String.sub s first (!pos - first) in
-        if float_of_string_opt text = None then fail "bad number";
-        Jnum text
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let value_of_jv = function
-  | Jstr s -> Ok (S s)
-  | Jbool b -> Ok (B b)
-  | Jnum text -> (
-      match int_of_string_opt text with
-      | Some i -> Ok (I i)
-      | None -> Ok (F (float_of_string text)))
-  | _ -> Error "unsupported payload value"
-
-let event_of_jv = function
-  | Jobj fields ->
-      let str k = match List.assoc_opt k fields with Some (Jstr s) -> Some s | _ -> None in
-      let num k =
-        match List.assoc_opt k fields with
-        | Some (Jnum t) -> float_of_string_opt t
-        | _ -> None
-      in
-      let args =
-        match List.assoc_opt "args" fields with
-        | Some (Jobj kvs) ->
-            List.fold_right
-              (fun (k, jv) acc ->
-                match (acc, value_of_jv jv) with
-                | Error _, _ -> acc
-                | _, Error e -> Error e
-                | Ok rest, Ok v -> Ok ((k, v) :: rest))
-              kvs (Ok [])
-        | Some _ -> Error "args is not an object"
-        | None -> Ok []
-      in
-      (match (num "seq", num "ts", str "name", args) with
-      | Some seq, Some ts, Some name, Ok args ->
-          Ok
-            { seq = int_of_float seq;
-              ts_s = ts;
-              dur_s = (match num "dur" with Some d -> d | None -> 0.0);
-              cat = (match str "cat" with Some c -> c | None -> "event");
-              name;
-              args
-            }
-      | _, _, _, Error e -> Error e
-      | _ -> Error "missing seq/ts/name")
-  | _ -> Error "event line is not an object"
-
-let of_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        let line = String.trim line in
-        if line = "" then go (i + 1) acc rest
-        else begin
-          match
-            try event_of_jv (parse_json_line line)
-            with Parse_error m -> Error m
-          with
-          | Ok e -> go (i + 1) (e :: acc) rest
-          | Error m -> Error (Printf.sprintf "line %d: %s" i m)
-        end
-  in
-  go 1 [] lines
-
-(* ------------------------------------------------------------------ *)
 (* Chrome trace merge                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -398,7 +150,7 @@ let chrome_trace ?req () =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char args ',';
           Buffer.add_string args
-            (Printf.sprintf "\"%s\":%s" (Json_util.escape k) (value_json v)))
+            (Printf.sprintf "\"%s\":%s" (Json_util.escape k) (Json_util.value_json v)))
         e.args;
       let rendered =
         if e.dur_s > 0.0 then

@@ -13,13 +13,11 @@
     {!Obs.set_request_id}), [emit] tags the event with a ["req"] arg so
     per-request traces can be carved out of the shared ring.
 
-    Exporters: JSONL (one event per line, round-trippable with
-    {!of_jsonl}) and a Chrome trace that merges structured events with
-    the {!Obs} span intervals in timestamp order. *)
+    Exporter: a Chrome trace that merges structured events with the
+    {!Obs} span intervals in timestamp order. *)
 
 (** Payload value: string, int, float or bool (an alias of
-    {!Json_util.value}). Ints and floats stay distinct through a JSONL
-    round-trip. *)
+    {!Json_util.value}). *)
 type value = Json_util.value = S of string | I of int | F of float | B of bool
 
 type t = {
@@ -73,16 +71,6 @@ val value_to_string : value -> string
 (** Human-readable rendering (no quotes around strings). *)
 
 (** {1 Exporters} *)
-
-val to_jsonl : unit -> string
-(** One JSON object per line:
-    [{"seq":..,"ts":..,"dur":..,"cat":..,"name":..,"args":{..}}]. *)
-
-val of_jsonl : string -> (t list, string) result
-(** Parse [to_jsonl] output back into events. Int/float payload values
-    survive the round trip exactly. *)
-
-val write_jsonl : string -> unit
 
 val chrome_trace : ?req:string -> unit -> string
 (** Chrome trace_event JSON merging [Obs] span intervals (tid 1) with

@@ -1,7 +1,7 @@
 (* Shared JSON primitives for the observability layer.
 
    One escaper for every JSON producer in the tree (Obs exporters,
-   Events JSONL, Snapshot files, the log and OpenMetrics renderers, the
+   Events traces, Snapshot files, the log and OpenMetrics renderers, the
    serve daemon), one typed payload value, and the minimal JSON
    document parser/printer that used to live inside Snapshot. Keeping
    them here, below Obs in the dependency graph, means every module

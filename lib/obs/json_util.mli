@@ -7,7 +7,7 @@ val escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)
 
 (** Payload value: string, int, float or bool. Ints and floats stay
-    distinct through a JSONL round-trip ([F 5.] prints as ["5.0"]). *)
+    distinct when rendered ([F 5.] prints as ["5.0"]). *)
 type value = S of string | I of int | F of float | B of bool
 
 val float_repr : float -> string

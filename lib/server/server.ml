@@ -39,28 +39,13 @@ type t = { st : state; httpd : Httpd.t }
 let port t = Httpd.port t.httpd
 
 (* ------------------------------------------------------------------ *)
-(* Compile flows (mirrors the CLI's flow table)                        *)
+(* Compile flows: the Flow table plus "tuned"                          *)
 (* ------------------------------------------------------------------ *)
 
-type flow =
-  | Flow_naive
-  | Flow_heuristic of Fusion.heuristic
-  | Flow_ours
-  | Flow_polymage
-  | Flow_halide
-  | Flow_tuned  (* apply the best stored configuration for the program *)
-
-let flow_of_string = function
-  | "naive" -> Some Flow_naive
-  | "minfuse" -> Some (Flow_heuristic Fusion.Minfuse)
-  | "smartfuse" -> Some (Flow_heuristic Fusion.Smartfuse)
-  | "maxfuse" -> Some (Flow_heuristic Fusion.Maxfuse)
-  | "hybridfuse" -> Some (Flow_heuristic Fusion.Hybridfuse)
-  | "ours" -> Some Flow_ours
-  | "polymage" -> Some Flow_polymage
-  | "halide" -> Some Flow_halide
-  | "tuned" -> Some Flow_tuned
-  | _ -> None
+(* "tuned" applies the best stored configuration for the program; every
+   other name resolves through the Flow table. A request's flow is
+   [None] for "tuned", [Some f] otherwise. *)
+let tuned = "tuned"
 
 (* flow "tuned" with no stored entry for the program: a client error
    (404), not a compiler failure *)
@@ -72,15 +57,8 @@ exception Tuned_miss of string
    changed since tuning) misses instead of misapplying. *)
 let version_of st flow ~tile prog =
   match flow with
-  | Flow_naive -> (Exp_util.naive prog, None)
-  | Flow_heuristic h ->
-      (Exp_util.heuristic ~tile ~target:Core.Pipeline.Cpu h prog, None)
-  | Flow_ours -> (Exp_util.ours ~tile ~target:Core.Pipeline.Cpu prog, None)
-  | Flow_polymage ->
-      (Exp_util.polymage_version ~tile ~target:Core.Pipeline.Cpu prog, None)
-  | Flow_halide ->
-      (Exp_util.halide_version ~tile ~target:Core.Pipeline.Cpu prog, None)
-  | Flow_tuned -> (
+  | Some f -> (Flow.compile ~tile ~target:Core.Pipeline.Cpu f prog, None)
+  | None -> (
       let sp = Search_space.make prog in
       let key = Tune_db.key ~target:"cpu" prog sp in
       match Tune_db.find st.tune_db key with
@@ -329,13 +307,18 @@ let handle_compile st (r : Httpd.request) =
     | Error msg -> Error (Printf.sprintf "bad JSON body: %s" msg)
   in
   let* workload = member_string "workload" None body in
-  let* flow_name = member_string "flow" (Some "ours") body in
+  let* flow_name = member_string "flow" (Some (Flow.name Flow.Ours)) body in
   let* tile = member_int "tile" 32 body in
   let* small = member_bool "small" true body in
   let* flow =
-    match flow_of_string flow_name with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "unknown flow %S" flow_name)
+    if flow_name = tuned then Ok None
+    else
+      match Flow.of_string flow_name with
+      | Some f -> Ok (Some f)
+      | None ->
+          Error
+            (Printf.sprintf "unknown flow %S (expected one of: %s)" flow_name
+               (String.concat ", " (List.map Flow.name Flow.all @ [ tuned ])))
   in
   (* validated flows only, so the counter-name space stays bounded *)
   Obs.count ("http.compile.flow." ^ flow_name);

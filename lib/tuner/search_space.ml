@@ -1,31 +1,19 @@
 (* Candidate enumeration and footprint pruning (see search_space.mli). *)
 
-type flow = Minfuse | Smartfuse | Maxfuse | Ours
-
-let flow_name = function
-  | Minfuse -> "minfuse"
-  | Smartfuse -> "smartfuse"
-  | Maxfuse -> "maxfuse"
-  | Ours -> "ours"
-
-let flow_of_string = function
-  | "minfuse" -> Some Minfuse
-  | "smartfuse" -> Some Smartfuse
-  | "maxfuse" -> Some Maxfuse
-  | "ours" -> Some Ours
-  | _ -> None
-
-let all_flows = [ Minfuse; Smartfuse; Maxfuse; Ours ]
+let tunable_flows =
+  [ Flow.Heuristic Fusion.Minfuse; Flow.Heuristic Fusion.Smartfuse;
+    Flow.Heuristic Fusion.Maxfuse; Flow.Ours
+  ]
 
 type candidate = {
-  cd_flow : flow;
+  cd_flow : Flow.t;
   cd_tiles : int array;
   cd_fuse_reductions : bool;
   cd_recompute_limit : float;
 }
 
 let candidate_name c =
-  Printf.sprintf "%s/%s/fr%d/rl%g" (flow_name c.cd_flow)
+  Printf.sprintf "%s/%s/fr%d/rl%g" (Flow.name c.cd_flow)
     (String.concat "x" (List.map string_of_int (Array.to_list c.cd_tiles)))
     (if c.cd_fuse_reductions then 1 else 0)
     c.cd_recompute_limit
@@ -33,7 +21,7 @@ let candidate_name c =
 let candidate_to_json c =
   let open Json_util.Json in
   Obj
-    [ ("flow", Str (flow_name c.cd_flow));
+    [ ("flow", Str (Flow.name c.cd_flow));
       ( "tiles",
         Arr (List.map (fun t -> Num (float_of_int t)) (Array.to_list c.cd_tiles))
       );
@@ -47,9 +35,9 @@ let candidate_of_json j =
   let* flow =
     match member "flow" j with
     | Some (Str s) -> (
-        match flow_of_string s with
-        | Some f -> Ok f
-        | None -> Error (Printf.sprintf "unknown flow %S" s))
+        match Flow.of_string s with
+        | Some f when List.mem f tunable_flows -> Ok f
+        | _ -> Error (Printf.sprintf "unknown flow %S" s))
     | _ -> Error "candidate: missing flow"
   in
   let* tiles =
@@ -81,7 +69,7 @@ type t = {
   dims : int;
   ladder : int list;
   recompute_ladder : float list;
-  flows : flow list;
+  flows : Flow.t list;
   scratchpad_bytes : int;
   elem_bytes : int;
   max_extent : int;
@@ -93,7 +81,7 @@ let default_ladder = [ 8; 16; 32; 64; 128 ]
 let default_recompute_ladder = [ 2.0; 4.0; 8.0 ]
 
 let make ?(ladder = default_ladder) ?(recompute_ladder = default_recompute_ladder)
-    ?(flows = all_flows) ?(scratchpad_bytes = 128 * 1024) ?(elem_bytes = 4)
+    ?(flows = tunable_flows) ?(scratchpad_bytes = 128 * 1024) ?(elem_bytes = 4)
     (p : Prog.t) =
   let dims =
     List.fold_left
@@ -130,7 +118,7 @@ let clamp_to_ladder sp v =
         (List.hd l) l
 
 let default_candidate sp =
-  { cd_flow = (if List.mem Ours sp.flows then Ours else List.hd sp.flows);
+  { cd_flow = (if List.mem Flow.Ours sp.flows then Flow.Ours else List.hd sp.flows);
     cd_tiles = Array.make sp.dims (clamp_to_ladder sp 32);
     cd_fuse_reductions = true;
     cd_recompute_limit = 4.0
@@ -159,13 +147,13 @@ let raw_enumerate sp =
     (fun flow ->
       let vectors =
         match flow with
-        | Ours -> tile_vectors sp
-        | Minfuse | Smartfuse | Maxfuse ->
+        | Flow.Ours -> tile_vectors sp
+        | _ ->
             (* one tile edge: uniform vectors only, no duplicates *)
             List.map (fun t -> Array.make sp.dims t) sp.ladder
       in
       let limits =
-        match flow with Ours -> sp.recompute_ladder | _ -> [ 4.0 ]
+        match flow with Flow.Ours -> sp.recompute_ladder | _ -> [ 4.0 ]
       in
       List.concat_map
         (fun tiles ->
@@ -213,10 +201,8 @@ let neighbors sp c =
                let tiles = Array.copy c.cd_tiles in
                tiles.(d) <- ladder.(r');
                (* heuristic flows tile with one edge: keep vectors uniform *)
-               (match c.cd_flow with
-               | Ours -> ()
-               | Minfuse | Smartfuse | Maxfuse ->
-                   Array.fill tiles 0 (Array.length tiles) ladder.(r'));
+               if c.cd_flow <> Flow.Ours then
+                 Array.fill tiles 0 (Array.length tiles) ladder.(r');
                Some { c with cd_tiles = tiles }
              end
            in
@@ -234,7 +220,7 @@ let neighbors sp c =
                  first edge; leaving one keeps the uniform vector *)
               cd_tiles =
                 (match f with
-                | Ours -> c.cd_tiles
+                | Flow.Ours -> c.cd_tiles
                 | _ -> Array.make (Array.length c.cd_tiles) c.cd_tiles.(0))
             })
       sp.flows
@@ -242,7 +228,7 @@ let neighbors sp c =
   let fr_moves = [ { c with cd_fuse_reductions = not c.cd_fuse_reductions } ] in
   let rl_moves =
     match c.cd_flow with
-    | Ours ->
+    | Flow.Ours ->
         let rungs = Array.of_list sp.recompute_ladder in
         let r = ref (-1) in
         Array.iteri (fun i x -> if x = c.cd_recompute_limit then r := i) rungs;
@@ -273,5 +259,5 @@ let signature sp =
     sp.dims
     (String.concat "," (List.map string_of_int sp.ladder))
     (String.concat "," (List.map (Printf.sprintf "%g") sp.recompute_ladder))
-    (String.concat "," (List.map flow_name sp.flows))
+    (String.concat "," (List.map Flow.name sp.flows))
     sp.scratchpad_bytes sp.elem_bytes sp.max_extent sp.stageable_arrays

@@ -12,16 +12,11 @@
     quantity {!Footprints.staged_bytes} measures exactly after
     compilation. *)
 
-type flow = Minfuse | Smartfuse | Maxfuse | Ours
-
-val flow_name : flow -> string
-
-val flow_of_string : string -> flow option
-
-val all_flows : flow list
+val tunable_flows : Flow.t list
+(** The flows the tuner searches: minfuse, smartfuse, maxfuse, ours. *)
 
 type candidate = {
-  cd_flow : flow;
+  cd_flow : Flow.t;
   cd_tiles : int array;
       (** per band dimension; heuristic flows use [cd_tiles.(0)]
           uniformly (their tiling is rectangular with one edge) *)
@@ -42,7 +37,7 @@ type t = {
   dims : int;  (** tile-vector length: deepest statement domain, capped *)
   ladder : int list;  (** power-of-two tile edges, ascending *)
   recompute_ladder : float list;  (** recompute-limit values for [Ours] *)
-  flows : flow list;
+  flows : Flow.t list;
   scratchpad_bytes : int;  (** staging budget for the footprint bound *)
   elem_bytes : int;
   max_extent : int;  (** largest concrete array extent (clamps tiles) *)
@@ -50,10 +45,10 @@ type t = {
 }
 
 val make :
-  ?ladder:int list -> ?recompute_ladder:float list -> ?flows:flow list ->
+  ?ladder:int list -> ?recompute_ladder:float list -> ?flows:Flow.t list ->
   ?scratchpad_bytes:int -> ?elem_bytes:int -> Prog.t -> t
 (** Derive a space from a program. Defaults: ladder [8..128], recompute
-    ladder [2; 4; 8], all four flows, 128 KiB scratchpad, 4-byte
+    ladder [2; 4; 8], {!tunable_flows}, 128 KiB scratchpad, 4-byte
     elements. *)
 
 val default_candidate : t -> candidate

@@ -125,14 +125,11 @@ let oracle_case (e : Registry.entry) =
             (Printf.sprintf "%s/%s" e.Registry.reg_name v.Exp_util.ver_name)
             true
             (Exp_util.check_against p reference v))
-        [ Exp_util.heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Minfuse p;
-          Exp_util.heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Smartfuse p;
-          Exp_util.heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Maxfuse p;
-          Exp_util.heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Hybridfuse p;
-          Exp_util.ours ~tile:8 ~target:Core.Pipeline.Cpu p;
-          Exp_util.polymage_version ~tile:8 ~target:Core.Pipeline.Cpu p;
-          Exp_util.halide_version ~tile:8 ~target:Core.Pipeline.Cpu p
-        ])
+        (List.filter_map
+           (fun f ->
+             if f = Flow.Naive then None
+             else Some (Flow.compile ~tile:8 ~target:Core.Pipeline.Cpu f p))
+           Flow.all))
 
 let test_odd_tile_sizes () =
   (* partial tiles: sizes that do not divide the extents *)

@@ -1,5 +1,4 @@
-(* Structured event log tests: ring-buffer overflow accounting, exact
-   JSONL round-trips (int/float payload distinction preserved), merged
+(* Structured event log tests: ring-buffer overflow accounting, merged
    Chrome-trace ordering, the end-to-end `memcomp explain` report on a
    registry workload (which must show at least one rejected fusion
    candidate with its reason), and the exact-sum law of the per-array
@@ -44,39 +43,6 @@ let test_disabled_noop () =
   Events.emit "x" [];
   check int "no event recorded while disabled" 0 (Events.emitted ());
   check int "nothing retained" 0 (List.length (Events.recorded ()))
-
-(* ------------------------------------------------------------------ *)
-(* JSONL round-trip                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_jsonl_roundtrip () =
-  with_obs @@ fun () ->
-  Events.emit ~cat:"fusion" "fusion.reject"
-    [ ("reason", Events.S "no_legal_band");
-      ("band_dims", Events.I 2);
-      ("ratio", Events.F 1.5);
-      ("integral_float", Events.F 3.0);
-      ("chosen", Events.B true);
-      ("quoted", Events.S "a \"b\"\nc")
-    ];
-  Events.emit ~ts_s:0.25 ~dur_s:0.125 ~cat:"runtime" "runtime.tile"
-    [ ("tile", Events.I 7) ];
-  let text = Events.to_jsonl () in
-  match Events.of_jsonl text with
-  | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
-  | Ok back ->
-      let orig = Events.recorded () in
-      check int "same count" (List.length orig) (List.length back);
-      List.iter2
-        (fun (a : Events.t) (b : Events.t) ->
-          check bool "events identical after round-trip" true (a = b))
-        orig back;
-      (* the int/float distinction is the load-bearing part *)
-      let e = List.hd back in
-      check bool "int stays int" true
-        (Events.find e "band_dims" = Some (Events.I 2));
-      check bool "integral float stays float" true
-        (Events.find e "integral_float" = Some (Events.F 3.0))
 
 (* ------------------------------------------------------------------ *)
 (* Merged Chrome trace                                                 *)
@@ -221,7 +187,8 @@ let test_attribution_sums_exactly () =
       let e = Registry.find name in
       let p = e.Registry.small () in
       List.iter
-        (fun (flow, v) ->
+        (fun flow ->
+          let v = Flow.compile ~tile:8 ~target:Core.Pipeline.Cpu flow p in
           let cs = Exp_util.clusters p v in
           let sum rows =
             List.fold_left
@@ -233,10 +200,10 @@ let test_attribution_sums_exactly () =
           let total = Footprints.program_traffic p cs in
           let r, w = sum (Footprints.program_traffic_by_array p cs) in
           check int
-            (Printf.sprintf "%s/%s: read bytes sum exactly" name flow)
+            (Printf.sprintf "%s/%s: read bytes sum exactly" name (Flow.name flow))
             total.Footprints.read_bytes r;
           check int
-            (Printf.sprintf "%s/%s: write bytes sum exactly" name flow)
+            (Printf.sprintf "%s/%s: write bytes sum exactly" name (Flow.name flow))
             total.Footprints.write_bytes w;
           (* cluster level, every prefix *)
           let rec walk previous = function
@@ -249,11 +216,7 @@ let test_attribution_sums_exactly () =
                 walk (previous @ [ c ]) rest
           in
           walk [] cs)
-        [ ("ours", Exp_util.ours ~tile:8 ~target:Core.Pipeline.Cpu p);
-          ( "smartfuse",
-            Exp_util.heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Smartfuse
-              p )
-        ])
+        [ Flow.Ours; Flow.Heuristic Fusion.Smartfuse ])
     [ "conv2d"; "harris" ]
 
 (* The measured side obeys the same law: per-array and per-statement
@@ -295,8 +258,6 @@ let () =
         [ Alcotest.test_case "overflow drops oldest" `Quick test_ring_overflow;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop
         ] );
-      ( "jsonl",
-        [ Alcotest.test_case "round-trip exact" `Quick test_jsonl_roundtrip ] );
       ( "chrome",
         [ Alcotest.test_case "merged trace ordering" `Quick
             test_chrome_merge_ordering

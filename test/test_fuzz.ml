@@ -26,18 +26,14 @@ let bool = Alcotest.bool
 let base_seed, argv = Harness.seed_from_argv ()
 let shrink_enabled, argv = Harness.shrink_from_argv ~argv ()
 
-(* Flows are (name, builder) pairs so the shrinker can re-run just the
-   mismatching flow on each candidate spec. *)
 let flows =
-  [ ("minfuse",
-     fun p -> Exp_util.heuristic ~tile:5 ~target:Core.Pipeline.Cpu Fusion.Minfuse p);
-    ("smartfuse",
-     fun p -> Exp_util.heuristic ~tile:5 ~target:Core.Pipeline.Cpu Fusion.Smartfuse p);
-    ("maxfuse",
-     fun p -> Exp_util.heuristic ~tile:5 ~target:Core.Pipeline.Cpu Fusion.Maxfuse p);
-    ("ours", fun p -> Exp_util.ours ~tile:5 ~target:Core.Pipeline.Cpu p);
-    ("polymage", fun p -> Exp_util.polymage_version ~tile:5 ~target:Core.Pipeline.Cpu p)
-  ]
+  Flow.
+    [ Heuristic Fusion.Minfuse; Heuristic Fusion.Smartfuse;
+      Heuristic Fusion.Maxfuse; Ours; Polymage
+    ]
+
+(* the shrinker re-runs just the mismatching flow on each candidate spec *)
+let builder f p = Flow.compile ~tile:5 ~target:Core.Pipeline.Cpu f p
 
 (* Tests run from _build/default/test; walk up to the directory that
    holds _build so the artifact lands where CI expects it. *)
@@ -53,7 +49,8 @@ let repro_path seed =
   in
   match up (Sys.getcwd ()) with Some p -> p | None -> file
 
-let report_mismatch cfg ~seed ~flow_name ~builder p v =
+let report_mismatch cfg ~seed flow p v =
+  let flow_name = Flow.name flow in
   Printf.printf "fuzz: MISMATCH seed %d, flow %s [%s]\n%!" seed flow_name
     (Random_pipeline.describe p);
   Printf.printf "fuzz: schedule tree of flow %s:\n%s\n%!" flow_name
@@ -61,7 +58,7 @@ let report_mismatch cfg ~seed ~flow_name ~builder p v =
   let spec = Random_pipeline.spec_of_seed cfg ~seed in
   let predicate sp =
     let q = Random_pipeline.build_spec sp in
-    not (Exp_util.check_against q (Exp_util.naive q) (builder q))
+    not (Exp_util.check_against q (Exp_util.naive q) (builder flow q))
   in
   let spec, note =
     if shrink_enabled then begin
@@ -87,10 +84,10 @@ let run_seed cfg seed =
   let p = Random_pipeline.generate cfg ~seed in
   let reference = Exp_util.naive p in
   List.iter
-    (fun (flow_name, builder) ->
-      let v = builder p in
+    (fun flow ->
+      let v = builder flow p in
       let ok = Exp_util.check_against p reference v in
-      if not ok then report_mismatch cfg ~seed ~flow_name ~builder p v;
+      if not ok then report_mismatch cfg ~seed flow p v;
       check bool
         (Printf.sprintf "seed %d, %s [%s]" seed v.Exp_util.ver_name
            (Random_pipeline.describe p))

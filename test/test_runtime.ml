@@ -16,11 +16,6 @@ let int = Alcotest.int
 
 let compile ?(tile = 8) p = Exp_util.ours ~tile ~target:Core.Pipeline.Cpu p
 
-let deps_of p (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute p
-
 let live_out_equal p m1 m2 =
   List.for_all (fun a -> Interp.arrays_equal m1 m2 a) p.Prog.live_out
 
@@ -28,7 +23,7 @@ let live_out_equal p m1 m2 =
    (race-checked) and compare its live-out arrays against the
    sequential interpreter. *)
 let differential ?mode ~jobs p (v : Exp_util.version) =
-  let deps = deps_of p v in
+  let deps = Exp_util.deps_of p v in
   let r = Runtime.run ~jobs ?mode ~race_check:true p ~deps v.Exp_util.ast in
   let oracle = Cpu_model.run_to_memory p v.Exp_util.ast in
   check bool
@@ -83,7 +78,7 @@ let graph_of ?(tile = 8) name =
   let e = Registry.find name in
   let p = e.Registry.small () in
   let v = compile ~tile p in
-  (p, v, Tile_graph.extract p ~deps:(deps_of p v) v.Exp_util.ast)
+  (p, v, Tile_graph.extract p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast)
 
 let graph_invariants (g : Tile_graph.t) =
   let n = Tile_graph.n_items g in
@@ -124,7 +119,7 @@ let test_extract_harris_invariants () =
 
 let test_extract_deterministic () =
   let p, v, g1 = graph_of "harris" in
-  let g2 = Tile_graph.extract p ~deps:(deps_of p v) v.Exp_util.ast in
+  let g2 = Tile_graph.extract p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
   check int "same tiles" (Tile_graph.n_items g1) (Tile_graph.n_items g2);
   check int "same edges" g1.Tile_graph.n_edges g2.Tile_graph.n_edges;
   Array.iteri
@@ -135,7 +130,7 @@ let test_max_tiles_cap () =
   let e = Registry.find "harris" in
   let p = e.Registry.small () in
   let v = compile p in
-  let g = Tile_graph.extract ~max_tiles:2 p ~deps:(deps_of p v) v.Exp_util.ast in
+  let g = Tile_graph.extract ~max_tiles:2 p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
   (* the cap is soft: coarsened subtrees still execute correctly *)
   check bool "capped below full graph" true (Tile_graph.n_items g <= 4);
   let mem = Interp.alloc p in
@@ -176,7 +171,7 @@ let test_timeline_conservation () =
   let e = Registry.find "harris" in
   let p = e.Registry.small () in
   let v = compile p in
-  let deps = deps_of p v in
+  let deps = Exp_util.deps_of p v in
   List.iter
     (fun jobs ->
       let r = Runtime.run ~jobs p ~deps v.Exp_util.ast in
@@ -234,7 +229,7 @@ let test_race_checker_fires () =
   let e = Registry.find "harris" in
   let p = e.Registry.small () in
   let v = compile p in
-  let g = Tile_graph.extract p ~deps:(deps_of p v) v.Exp_util.ast in
+  let g = Tile_graph.extract p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
   check bool "needs edges for the test to mean anything" true (g.Tile_graph.n_edges > 0);
   let n = Tile_graph.n_items g in
   let reversed = Array.init n (fun i -> n - 1 - i) in
@@ -255,7 +250,7 @@ let test_race_checker_silent_on_valid_order () =
   let e = Registry.find "harris" in
   let p = e.Registry.small () in
   let v = compile p in
-  let g = Tile_graph.extract p ~deps:(deps_of p v) v.Exp_util.ast in
+  let g = Tile_graph.extract p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
   let mem = Interp.alloc p in
   Cpu_model.deterministic_fill p mem;
   let m = Executor.run_sequential ~race_check:true p g mem in

@@ -295,9 +295,78 @@ let test_daemon_end_to_end () =
       | Ok (400, _) -> ()
       | Ok (st, _) -> Alcotest.fail (Printf.sprintf "unknown workload: status %d" st)
       | Error msg -> Alcotest.fail msg);
+      (match
+         Httpd.request ~meth:"POST" ~body:{|{"workload":"conv2d","flow":"zzz"}|}
+           ~port "/compile"
+       with
+      | Ok (400, b) ->
+          Alcotest.(check bool) "400 lists the accepted flows" true
+            (contains b "tuned")
+      | Ok (st, _) -> Alcotest.fail (Printf.sprintf "unknown flow: status %d" st)
+      | Error msg -> Alcotest.fail msg);
       match Httpd.request ~port "/nope" with
       | Ok (404, _) -> ()
       | Ok (st, _) -> Alcotest.fail (Printf.sprintf "unknown route: status %d" st)
+      | Error msg -> Alcotest.fail msg)
+
+(* flow "tuned" against a tune DB: a miss is a 404 counted in
+   tuner.serve_misses, a hit applies and returns the stored best *)
+let with_tuned_server db f =
+  let path = Filename.temp_file "tune_db_test" ".json" in
+  Tune_db.save path db;
+  let srv = Server.create ~port:0 ~workers:1 ~tune_db:path () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Sys.remove path;
+      teardown ())
+    (fun () -> f (Server.port srv))
+
+let post_tuned port =
+  Httpd.request ~meth:"POST" ~body:{|{"workload":"conv2d","flow":"tuned"}|} ~port
+    "/compile"
+
+let test_tuned_miss () =
+  with_tuned_server Tune_db.empty (fun port ->
+      let misses () = Obs.counter_value "tuner.serve_misses" in
+      let before = misses () in
+      (match post_tuned port with
+      | Ok (404, _) -> ()
+      | Ok (st, b) -> Alcotest.fail (Printf.sprintf "tuned miss: status %d: %s" st b)
+      | Error msg -> Alcotest.fail msg);
+      Alcotest.(check int) "serve_misses +1" (before + 1) (misses ()))
+
+let test_tuned_hit () =
+  let p = (Registry.find "conv2d").Registry.small () in
+  let entry =
+    match Tuner.tune ~budget:4 p with
+    | Ok r -> r.Tuner.r_entry
+    | Error msg -> Alcotest.fail ("tune: " ^ msg)
+  in
+  (* on conv2d small the tuned best is the default configuration, so
+     store another tunable candidate as the best: a daemon that fell
+     back to the default would then fail the check *)
+  let best =
+    { entry.Tune_db.en_best with
+      Search_space.cd_flow = Flow.Heuristic Fusion.Maxfuse;
+      cd_tiles = Array.map (fun _ -> 16) entry.Tune_db.en_best.Search_space.cd_tiles
+    }
+  in
+  Alcotest.(check bool) "stored best is not the default" true
+    (best <> entry.Tune_db.en_default);
+  let db = Tune_db.add Tune_db.empty { entry with Tune_db.en_best = best } in
+  with_tuned_server db (fun port ->
+      match post_tuned port with
+      | Ok (200, body) -> (
+          match Json_util.Json.parse body with
+          | Ok j ->
+              Alcotest.(check bool) "tuned candidate is the stored best" true
+                (Json_util.Json.member "tuned" j
+                = Some (Search_space.candidate_to_json best));
+              Alcotest.(check bool) "compiled with the stored flow" true
+                (Json_util.Json.member "flow" j = Some (Json_util.Json.Str "maxfuse"))
+          | Error m -> Alcotest.fail ("tuned response: " ^ m))
+      | Ok (st, b) -> Alcotest.fail (Printf.sprintf "tuned hit: status %d: %s" st b)
       | Error msg -> Alcotest.fail msg)
 
 let test_trace_store_bounds () =
@@ -328,6 +397,8 @@ let () =
         ] );
       ( "daemon",
         [ Alcotest.test_case "end to end over sockets" `Quick test_daemon_end_to_end;
+          Alcotest.test_case "tuned flow, empty db" `Quick test_tuned_miss;
+          Alcotest.test_case "tuned flow, tuned db" `Quick test_tuned_hit;
           Alcotest.test_case "trace store bounds" `Quick test_trace_store_bounds
         ] )
     ]

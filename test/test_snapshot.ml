@@ -61,6 +61,25 @@ let test_json_value_roundtrip () =
   | Ok j' -> check bool "value round-trip" true (j = j')
   | Error msg -> Alcotest.failf "reparse failed: %s" msg
 
+(* Log lines and Chrome-trace args render payloads through value_json:
+   an int must stay an int and an integral float a float, and a float
+   must read back exactly. *)
+let test_json_payload_values () =
+  let render = Json_util.value_json in
+  check Alcotest.string "int stays int" "2" (render (Json_util.I 2));
+  check Alcotest.string "integral float stays float" "3.0"
+    (render (Json_util.F 3.0));
+  check Alcotest.string "string escaped" {|"a \"b\"\nc"|}
+    (render (Json_util.S "a \"b\"\nc"));
+  check Alcotest.string "bool" "true" (render (Json_util.B true));
+  List.iter
+    (fun f ->
+      check bool
+        (Printf.sprintf "float_repr %h reads back exactly" f)
+        true
+        (float_of_string (Json_util.float_repr f) = f))
+    [ 1.5; 0.1 +. 0.2; 1e300; -0.0; 3.0 ]
+
 let test_json_parse_errors () =
   let open Snapshot.Json in
   List.iter
@@ -325,7 +344,9 @@ let () =
   Harness.run "snapshot"
     [ ( "json",
         [ Alcotest.test_case "value round-trip" `Quick test_json_value_roundtrip;
-          Alcotest.test_case "parse errors" `Quick test_json_parse_errors
+          Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          Alcotest.test_case "payload int/float distinct" `Quick
+            test_json_payload_values
         ] );
       ( "snapshot",
         [ Alcotest.test_case "exact round-trip" `Quick test_snapshot_roundtrip;

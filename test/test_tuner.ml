@@ -16,7 +16,7 @@ let harris_small () = (Registry.find "harris").Registry.small ()
 
 (* A deliberately small space so exhaustive search stays cheap: one
    flow ladder per test keeps total evaluations in the dozens. *)
-let small_space ?(flows = [ Search_space.Ours ]) ?scratchpad_bytes p =
+let small_space ?(flows = [ Flow.Ours ]) ?scratchpad_bytes p =
   Search_space.make ~ladder:[ 8; 16; 32 ] ~recompute_ladder:[ 4.0 ] ?flows:(Some flows)
     ?scratchpad_bytes p
 
@@ -33,7 +33,7 @@ let test_seed_determinism () =
   let tune seed jobs =
     let r =
       run_tune ~strategy:Tuner.Random ~budget:10 ~seed ~jobs
-        ~space:(small_space ~flows:Search_space.all_flows p)
+        ~space:(small_space ~flows:Search_space.tunable_flows p)
         p
     in
     let e = r.Tuner.r_entry in
@@ -149,7 +149,7 @@ let test_pruning_keeps_best () =
 
 let test_all_evaluated_legal () =
   let p = harris_small () in
-  let sp = small_space ~flows:Search_space.all_flows p in
+  let sp = small_space ~flows:Search_space.tunable_flows p in
   let cands, _ = Search_space.enumerate sp in
   (* cap the batch to keep the test quick, but cover every flow *)
   let cands = List.filteri (fun i _ -> i < 12) cands in
@@ -182,7 +182,7 @@ let test_all_evaluated_legal () =
 
 let test_greedy_vs_exhaustive () =
   let p = harris_small () in
-  let space () = small_space ~flows:[ Search_space.Ours; Search_space.Maxfuse ] p in
+  let space () = small_space ~flows:[ Flow.Ours; Flow.Heuristic Fusion.Maxfuse ] p in
   let budget = 64 in
   let ex = run_tune ~strategy:Tuner.Exhaustive ~budget ~space:(space ()) p in
   let gr = run_tune ~strategy:Tuner.Greedy ~budget ~space:(space ()) p in

@@ -9,15 +9,9 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 
 let flows_of p =
-  [ ("naive", Exp_util.naive p);
-    ("minfuse", Exp_util.heuristic ~tile:5 ~target:Core.Pipeline.Cpu Fusion.Minfuse p);
-    ("smartfuse", Exp_util.heuristic ~tile:5 ~target:Core.Pipeline.Cpu Fusion.Smartfuse p);
-    ("maxfuse", Exp_util.heuristic ~tile:5 ~target:Core.Pipeline.Cpu Fusion.Maxfuse p);
-    ("hybridfuse", Exp_util.heuristic ~tile:5 ~target:Core.Pipeline.Cpu Fusion.Hybridfuse p);
-    ("ours", Exp_util.ours ~tile:5 ~target:Core.Pipeline.Cpu p);
-    ("polymage", Exp_util.polymage_version ~tile:5 ~target:Core.Pipeline.Cpu p);
-    ("halide", Exp_util.halide_version ~tile:5 ~target:Core.Pipeline.Cpu p)
-  ]
+  List.map
+    (fun f -> (Flow.name f, Flow.compile ~tile:5 ~target:Core.Pipeline.Cpu f p))
+    Flow.all
 
 let verify_workload reg_name =
   let e = Registry.find reg_name in
@@ -280,6 +274,53 @@ let shrink_halves () =
      in
      contains repro "Random_pipeline.build_spec")
 
+(* ------------------------------------------------------------------ *)
+(* Flow-table laws: every external name (CLI --flow, daemon requests
+   and their echoed "flow", snapshot keys, tune-DB entries) comes from
+   Flow, so these pin what those consumers rely on. *)
+
+let flow_names_round_trip () =
+  List.iter
+    (fun f ->
+      check bool (Flow.name f ^ " parses back") true
+        (Flow.of_string (Flow.name f) = Some f))
+    Flow.all;
+  let names = List.map Flow.name Flow.all in
+  check Alcotest.int "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  check bool "unknown name" true (Flow.of_string "tuned" = None)
+
+(* the daemon echoes ver_name as "flow"; a client counts a reply naming
+   another flow as a failure *)
+let flow_compile_names () =
+  let p = (Registry.find "conv2d").Registry.small () in
+  List.iter
+    (fun f ->
+      check Alcotest.string "ver_name" (Flow.name f)
+        (Flow.compile ~target:Core.Pipeline.Cpu f p).Exp_util.ver_name)
+    Flow.all
+
+(* the space signature is part of every tune-DB key: a change orphans
+   every stored entry *)
+let tune_signature_pinned () =
+  let p = (Registry.find "conv2d").Registry.small () in
+  check Alcotest.string "conv2d small signature"
+    "dims=3 ladder=8,16,32,64,128 rl=2,4,8 \
+     flows=minfuse,smartfuse,maxfuse,ours scratchpad=131072 elem=4 \
+     max_extent=16 stageable=1"
+    (Search_space.signature (Search_space.make p));
+  let cand flow =
+    Search_space.candidate_of_json
+      (Json_util.Json.Obj
+         [ ("flow", Json_util.Json.Str flow);
+           ("tiles", Json_util.Json.Arr [ Json_util.Json.Num 32. ]);
+           ("fuse_reductions", Json_util.Json.Bool true);
+           ("recompute_limit", Json_util.Json.Num 4.)
+         ])
+  in
+  check bool "tunable flow accepted" true (Result.is_ok (cand "maxfuse"));
+  check bool "untunable flow rejected" true (Result.is_error (cand "halide"))
+
 let () =
   Harness.run "verify"
     [ ("registry-static", registry_cases);
@@ -294,5 +335,12 @@ let () =
           Alcotest.test_case "reversed order rejected" `Quick
             shadow_rejects_reversed
         ] );
-      ("shrink", [ Alcotest.test_case "halves an injected failure" `Quick shrink_halves ])
+      ("shrink", [ Alcotest.test_case "halves an injected failure" `Quick shrink_halves ]);
+      ( "flow-table",
+        [ Alcotest.test_case "names round-trip" `Quick flow_names_round_trip;
+          Alcotest.test_case "ver_name is the flow name" `Quick
+            flow_compile_names;
+          Alcotest.test_case "tune signature pinned" `Quick
+            tune_signature_pinned
+        ] )
     ]
