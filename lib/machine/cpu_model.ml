@@ -86,45 +86,55 @@ let profile ?seed ?cache (p : Prog.t) ast =
   let mem = Interp.alloc p in
   deterministic_fill ?seed p mem;
   let cache = match cache with Some c -> c | None -> Cache.scaled_xeon () in
-  let per_kernel_mem : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let per_kernel_dram : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let kernel_regions = Ast.kernels ast in
+  (* cycles per kernel slot: slot 0 for code outside any kernel region
+     (id -1), then one per distinct kernel id of the AST, the only ids
+     the observer sees *)
+  let ids = Array.of_list (-1 :: List.sort_uniq compare (List.map fst kernel_regions)) in
+  let slot_of k =
+    let rec go i = if ids.(i) = k then i else go (i + 1) in
+    go 0
+  in
+  let per_kernel_mem = Array.make (Array.length ids) 0 in
+  let per_kernel_dram = Array.make (Array.length ids) 0 in
   let dram_latency = 200 in
+  (* consecutive accesses almost always share a kernel: remember the
+     last one's slot *)
+  let last_kernel = ref (-1) and last_slot = ref 0 in
   let observer ~kernel ~stmt:_ ~addr ~write =
     let lat = Cache.access cache ~addr ~write in
-    let dram = if lat >= dram_latency then dram_latency else 0 in
-    Hashtbl.replace per_kernel_mem kernel
-      (lat - dram + Option.value ~default:0 (Hashtbl.find_opt per_kernel_mem kernel));
-    if dram > 0 then
-      Hashtbl.replace per_kernel_dram kernel
-        (dram + Option.value ~default:0 (Hashtbl.find_opt per_kernel_dram kernel))
+    if kernel <> !last_kernel then begin
+      last_kernel := kernel;
+      last_slot := slot_of kernel
+    end;
+    let s = !last_slot in
+    if lat >= dram_latency then begin
+      per_kernel_mem.(s) <- per_kernel_mem.(s) + lat - dram_latency;
+      per_kernel_dram.(s) <- per_kernel_dram.(s) + dram_latency
+    end
+    else per_kernel_mem.(s) <- per_kernel_mem.(s) + lat
   in
   let stats = Interp.run ~observer p ast mem in
-  let kernel_regions = Ast.kernels ast in
   let kernels =
     List.map
       (fun (id, region) ->
         { kp_id = id;
-          kp_ops = Option.value ~default:0 (Hashtbl.find_opt stats.Interp.per_kernel_ops id);
-          kp_mem_cycles = Option.value ~default:0 (Hashtbl.find_opt per_kernel_mem id);
-          kp_dram_cycles = Option.value ~default:0 (Hashtbl.find_opt per_kernel_dram id);
+          kp_ops = Interp.kernel_ops stats id;
+          kp_mem_cycles = per_kernel_mem.(slot_of id);
+          kp_dram_cycles = per_kernel_dram.(slot_of id);
           kp_par_iters = par_iters p.Prog.params region;
           kp_vectorizable = vectorizable region
         })
       kernel_regions
   in
   (* code outside kernel regions runs sequentially *)
-  let outside_ops =
-    Option.value ~default:0 (Hashtbl.find_opt stats.Interp.per_kernel_ops (-1))
-  in
-  let outside_mem =
-    Option.value ~default:0 (Hashtbl.find_opt per_kernel_mem (-1))
-  in
+  let outside_ops = Interp.kernel_ops stats (-1) in
   let kernels =
-    if outside_ops > 0 || outside_mem > 0 then
+    if outside_ops > 0 || per_kernel_mem.(0) > 0 then
       { kp_id = -1;
         kp_ops = outside_ops;
-        kp_mem_cycles = outside_mem;
-        kp_dram_cycles = Option.value ~default:0 (Hashtbl.find_opt per_kernel_dram (-1));
+        kp_mem_cycles = per_kernel_mem.(0);
+        kp_dram_cycles = per_kernel_dram.(0);
         kp_par_iters = 1;
         kp_vectorizable = false
       }

@@ -319,21 +319,29 @@ let run_wavefront ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
   let violations = Array.make jobs [] in
   let timelines = Array.make jobs [] in
   let race = if race_check then Some (make_race n mem) else None in
+  (* one runner per worker slot, kept across levels so each compiles a
+     tile body once: the domains of a level are joined before the next
+     level's start, so a runner is never used by two domains at once *)
+  let curs = Array.init jobs (fun _ -> ref (-1)) in
+  let runners =
+    Array.init jobs (fun wid ->
+        let observer =
+          Option.map
+            (fun r ->
+              race_observer r curs.(wid) (fun v ->
+                  if List.length violations.(wid) < max_recorded_violations then
+                    violations.(wid) <- v :: violations.(wid)))
+            race
+        in
+        Interp.tile_runner ?observer p mem)
+  in
   let run0 = Unix.gettimeofday () in
   let run_level items =
     let items = Array.of_list items in
     let next = Atomic.make 0 in
     let worker wid () =
-      let cur = ref (-1) in
-      let observer =
-        Option.map
-          (fun r ->
-            race_observer r cur (fun v ->
-                if List.length violations.(wid) < max_recorded_violations then
-                  violations.(wid) <- v :: violations.(wid)))
-          race
-      in
-      let stats, exec = Interp.tile_runner ?observer p mem in
+      let cur = curs.(wid) in
+      let _, exec = runners.(wid) in
       let rec loop () =
         let k = Atomic.fetch_and_add next 1 in
         if k < Array.length items then begin
@@ -355,8 +363,7 @@ let run_wavefront ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
           loop ()
         end
       in
-      loop ();
-      insts.(wid) <- insts.(wid) + stats.Interp.instances
+      loop ()
     in
     let w = min jobs (max 1 (Array.length items)) in
     let doms = Array.init (w - 1) (fun k -> Domain.spawn (worker (k + 1))) in
@@ -364,6 +371,7 @@ let run_wavefront ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
     Array.iter Domain.join doms
   in
   Array.iter (fun b -> if b <> [] then run_level b) buckets;
+  Array.iteri (fun wid (stats, _) -> insts.(wid) <- stats.Interp.instances) runners;
   let violations = Array.map List.rev violations in
   (* every worker waits at the barrier closing each level *)
   finish_metrics ~mode:Wavefront ~jobs ~steals

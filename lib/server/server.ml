@@ -54,8 +54,10 @@ exception Tuned_miss of string
 (* Returns the compiled version and, for the tuned flow, the applied
    configuration. Lookup is content-addressed, exactly as `memcomp
    tune --db` stores it, so a stale database entry (program or space
-   changed since tuning) misses instead of misapplying. *)
-let version_of st flow ~tile prog =
+   changed since tuning) misses instead of misapplying. A small
+   request's key is the small instance's, so the hint then asks for a
+   [--small] tune. *)
+let version_of st flow ~tile ~small prog =
   match flow with
   | Some f -> (Flow.compile ~tile ~target:Core.Pipeline.Cpu f prog, None)
   | None -> (
@@ -73,8 +75,9 @@ let version_of st flow ~tile prog =
             (Tuned_miss
                (Printf.sprintf
                   "no tuned configuration for workload %S (key %s); run \
-                   `memcomp tune %s --db <db>` and restart with --tune-db"
-                  prog.Prog.prog_name key prog.Prog.prog_name)))
+                   `memcomp tune %s%s --db <db>` and restart with --tune-db"
+                  prog.Prog.prog_name key prog.Prog.prog_name
+                  (if small then " --small" else ""))))
 
 (* ------------------------------------------------------------------ *)
 (* Process gauges                                                      *)
@@ -340,7 +343,7 @@ let handle_compile st (r : Httpd.request) =
           match
             Obs.span "http.compile" (fun () ->
                 let prog = if small then entry.Registry.small () else entry.Registry.build () in
-                let v = version_of st flow ~tile prog in
+                let v = version_of st flow ~tile ~small prog in
                 (prog, v))
           with
           | _prog, (v, tuned) ->

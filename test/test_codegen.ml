@@ -102,7 +102,7 @@ let test_instance_coverage () =
   let stats = Interp.run p ast mem in
   let card name = Prog.domain_card p (Prog.find_stmt p name) in
   let executed name =
-    Option.value ~default:0 (Hashtbl.find_opt stats.Interp.per_stmt name)
+    Interp.stmt_instances stats name
   in
   (* consumers execute exactly once per instance *)
   List.iter

@@ -118,8 +118,8 @@ let test_interp_bounds () =
   let mem = Interp.alloc p in
   (match Interp.run p bad mem with
   | exception Invalid_argument msg ->
-      check bool "names the array" true
-        (String.length msg > 0 && String.sub msg 0 6 = "Interp")
+      check Alcotest.string "names the array, dimension, index and extent"
+        "Interp: out of bounds on A dim 0: 7 (extent 4)" msg
   | _ -> Alcotest.fail "expected out-of-bounds failure");
   (* unknown statement *)
   match Interp.run p (Ast.Call { stmt = "nope"; args = [] }) mem with
@@ -138,7 +138,7 @@ let test_interp_guard () =
   let stats = Interp.run p ast mem in
   let n = Equake.size_nodes Equake.Test in
   let executed =
-    Option.value ~default:0 (Hashtbl.find_opt stats.Interp.per_stmt "rupd")
+    Interp.stmt_instances stats "rupd"
   in
   (* the dynamic guard executes strictly fewer instances than the affine
      superset, and at least the minimum row length *)
@@ -150,6 +150,135 @@ let test_fill_deterministic () =
   let m1 = Cpu_model.run_to_memory p (Ast.Nop) in
   let m2 = Cpu_model.run_to_memory p (Ast.Nop) in
   check bool "same seed, same data" true (Interp.arrays_equal m1 m2 "A")
+
+(* The compiled executor raises only when execution reaches the fault:
+   an unknown statement under a guard that never holds is dead code. *)
+let test_interp_lazy_errors () =
+  let p = Conv2d.build ~h:4 ~w:4 () in
+  let mem = Interp.alloc p in
+  let call = Ast.Call { stmt = "nope"; args = [ Ast.Var "i" ] } in
+  let loop cond =
+    Ast.For
+      { var = "i"; lb = Ast.Int 0; ub = Ast.Int 1; coincident = false;
+        body = Ast.If ([ cond ], call) }
+  in
+  let st = Interp.run p (loop (Ast.Int (-1))) mem in
+  check int "dead call executes nothing" 0 st.Interp.instances;
+  (match Interp.run p (loop (Ast.Int 0)) mem with
+  | exception Invalid_argument msg ->
+      check Alcotest.string "reached call" "Interp: unknown statement nope" msg
+  | _ -> Alcotest.fail "expected unknown-statement failure");
+  (* an unbound loop variable is likewise reported where it is read *)
+  let unbound = Ast.If ([ Ast.Int (-1) ], Ast.Call { stmt = "S1"; args = [ Ast.Var "q"; Ast.Int 0 ] }) in
+  ignore (Interp.run p unbound mem);
+  match Interp.run p (Ast.Call { stmt = "S1"; args = [ Ast.Var "q"; Ast.Int 0 ] }) mem with
+  | exception Invalid_argument msg ->
+      check Alcotest.string "unbound var" "eval_expr: unbound loop var q" msg
+  | _ -> Alcotest.fail "expected unbound-variable failure"
+
+(* A small nest with hand-countable instances: S0 over a 4x4 image
+   outside any kernel, S1 and S2 of a 2x2 output inside kernel 7. *)
+let small_conv () =
+  let p = Conv2d.build ~h:4 ~w:4 () in
+  let loop var ub body =
+    Ast.For { var; lb = Ast.Int 0; ub = Ast.Int ub; coincident = false; body }
+  in
+  let call stmt vars = Ast.Call { stmt; args = List.map (fun v -> Ast.Var v) vars } in
+  let ast =
+    Ast.Block
+      [ loop "h" 3 (loop "w" 3 (call "S0" [ "h"; "w" ]));
+        Ast.Kernel
+          ( 7,
+            loop "h" 1
+              (loop "w" 1
+                 (Ast.Block
+                    [ call "S1" [ "h"; "w" ];
+                      loop "kh" 2 (loop "kw" 2 (call "S2" [ "h"; "w"; "kh"; "kw" ]))
+                    ])) )
+      ]
+  in
+  (p, ast)
+
+let test_interp_counts () =
+  let p, ast = small_conv () in
+  let st = Interp.run p ast (Interp.alloc p) in
+  check int "S0 instances" 16 (Interp.stmt_instances st "S0");
+  check int "S1 instances" 4 (Interp.stmt_instances st "S1");
+  check int "S2 instances" 36 (Interp.stmt_instances st "S2");
+  check int "S3 never runs" 0 (Interp.stmt_instances st "S3");
+  check int "instances" 56 st.Interp.instances;
+  (* ops: S0 2, S1 1, S2 2 per instance *)
+  check int "ops outside kernels" 32 (Interp.kernel_ops st (-1));
+  check int "ops of kernel 7" (4 + 72) (Interp.kernel_ops st 7);
+  check int "total ops" 108 st.Interp.ops;
+  check int "reads" (16 + (36 * 3)) st.Interp.reads;
+  check int "writes" 56 st.Interp.writes
+
+let test_interp_observer_kernels () =
+  let p, ast = small_conv () in
+  let seen = Hashtbl.create 4 in
+  let observer ~kernel ~stmt ~addr:_ ~write:_ = Hashtbl.replace seen (stmt, kernel) () in
+  ignore (Interp.run ~observer p ast (Interp.alloc p));
+  let kernels_of stmt =
+    Hashtbl.fold (fun (s, k) () acc -> if s = stmt then k :: acc else acc) seen []
+  in
+  check (Alcotest.list int) "S0 outside any kernel" [ -1 ] (kernels_of "S0");
+  check (Alcotest.list int) "S2 inside kernel 7" [ 7 ] (kernels_of "S2")
+
+let test_interp_tracer_inst () =
+  let p, ast = small_conv () in
+  let kept = ref [] in
+  let tracer ~stmt ~inst ~array:_ ~cell:_ ~write ~value:_ =
+    if write && stmt = "S2" then kept := inst :: !kept
+  in
+  ignore (Interp.run ~tracer p ast (Interp.alloc p));
+  let expected =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun w ->
+            List.concat_map
+              (fun kh -> List.map (fun kw -> [| h; w; kh; kw |]) [ 0; 1; 2 ])
+              [ 0; 1; 2 ])
+          [ 0; 1 ])
+      [ 0; 1 ]
+  in
+  let kept = List.rev !kept in
+  check (Alcotest.list (Alcotest.array int)) "every kept vector holds its instance" expected kept;
+  let rec distinct = function
+    | [] -> true
+    | a :: rest -> List.for_all (fun b -> a != b) rest && distinct rest
+  in
+  check bool "a fresh vector per call" true (distinct kept)
+
+(* The parallel runtime's unit of work: the items of the tile graph,
+   each run under its own environment, in id order reproduce the whole
+   program bit for bit. *)
+let test_interp_tile_items () =
+  let p = (Registry.find "harris").Registry.small () in
+  let c = Core.Pipeline.run ~target:Core.Pipeline.Cpu ~tile_size:4 p in
+  let ast = Gen.generate p c.Core.Pipeline.tree in
+  let g = Tile_graph.extract p ~deps:c.Core.Pipeline.deps ast in
+  check bool "several items" true (Tile_graph.n_items g > 1);
+  let filled () =
+    let mem = Interp.alloc p in
+    Cpu_model.deterministic_fill p mem;
+    mem
+  in
+  let whole = filled () and mem = filled () in
+  let whole_st = Interp.run p ast whole in
+  let st, exec = Interp.tile_runner p mem in
+  Array.iter
+    (fun (it : Tile_graph.item) ->
+      exec ~kernel:it.Tile_graph.kernel ~env:it.Tile_graph.env it.Tile_graph.body)
+    g.Tile_graph.items;
+  check int "same instances" whole_st.Interp.instances st.Interp.instances;
+  List.iter
+    (fun (a : Prog.array_decl) ->
+      let name = a.Prog.array_name in
+      check bool (name ^ " bit-identical") true
+        (Interp.arrays_equal ~eps:0. whole mem name))
+    p.Prog.arrays
 
 (* ------------------------------------------------------------------ *)
 (* Footprints and traffic                                              *)
@@ -211,6 +340,17 @@ let test_vectorize_override () =
   let vec = Exp_util.cpu_time_ms ~vectorize:true p v ~threads:1 in
   check bool "vectorization helps" true (vec < seq)
 
+(* The cache simulator attributes every operation to a kernel row and
+   is deterministic for a given seed. *)
+let test_profile_rows () =
+  let p = (Registry.find "harris").Registry.small () in
+  let v = Exp_util.ours ~tile:8 ~target:Core.Pipeline.Cpu p in
+  let r1 = Cpu_model.profile ~seed:7 p v.Exp_util.ast in
+  let r2 = Cpu_model.profile ~seed:7 p v.Exp_util.ast in
+  check int "kernel rows sum to total_ops" r1.Cpu_model.total_ops
+    (List.fold_left (fun acc k -> acc + k.Cpu_model.kp_ops) 0 r1.Cpu_model.kernels);
+  check bool "same seed, same report" true (r1 = r2)
+
 (* ------------------------------------------------------------------ *)
 (* GPU / NPU model properties                                          *)
 (* ------------------------------------------------------------------ *)
@@ -250,7 +390,12 @@ let () =
       ( "interp",
         [ Alcotest.test_case "bounds checking" `Quick test_interp_bounds;
           Alcotest.test_case "dynamic guard" `Quick test_interp_guard;
-          Alcotest.test_case "deterministic fill" `Quick test_fill_deterministic
+          Alcotest.test_case "deterministic fill" `Quick test_fill_deterministic;
+          Alcotest.test_case "errors raise when reached" `Quick test_interp_lazy_errors;
+          Alcotest.test_case "per-statement and per-kernel counts" `Quick test_interp_counts;
+          Alcotest.test_case "observer kernel ids" `Quick test_interp_observer_kernels;
+          Alcotest.test_case "tracer instance vectors" `Quick test_interp_tracer_inst;
+          Alcotest.test_case "tile items in id order" `Quick test_interp_tile_items
         ] );
       ( "footprints",
         [ Alcotest.test_case "staging" `Quick test_cluster_staging;
@@ -259,7 +404,8 @@ let () =
         ] );
       ( "cpu-model",
         [ Alcotest.test_case "thread monotonicity" `Quick test_threads_monotone;
-          Alcotest.test_case "vectorize override" `Quick test_vectorize_override
+          Alcotest.test_case "vectorize override" `Quick test_vectorize_override;
+          Alcotest.test_case "profile rows" `Quick test_profile_rows
         ] );
       ( "gpu-npu",
         [ Alcotest.test_case "gpu fusion wins" `Slow test_gpu_fusion_wins;

@@ -331,7 +331,12 @@ let test_tuned_miss () =
       let misses () = Obs.counter_value "tuner.serve_misses" in
       let before = misses () in
       (match post_tuned port with
-      | Ok (404, _) -> ()
+      | Ok (404, body) ->
+          (* the request is small (the default), so only a small tune
+             produces the key it looks up *)
+          let hint = "`memcomp tune conv2d --small --db <db>`" in
+          Alcotest.(check bool) ("hint asks for a small tune: " ^ body) true
+            (contains body hint)
       | Ok (st, b) -> Alcotest.fail (Printf.sprintf "tuned miss: status %d: %s" st b)
       | Error msg -> Alcotest.fail msg);
       Alcotest.(check int) "serve_misses +1" (before + 1) (misses ()))

@@ -177,7 +177,7 @@ let test_dead_store_elimination () =
   let mem = Interp.alloc p in
   let stats = Interp.run p v.Exp_util.ast mem in
   let executed =
-    Option.value ~default:0 (Hashtbl.find_opt stats.Interp.per_stmt "P")
+    Interp.stmt_instances stats "P"
   in
   (* the consumer needs A[0..32]; with 8-wide tiles the overlap border
      re-executes 3 instances (4 tiles x 9 points = 36), while the dead
